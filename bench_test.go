@@ -281,37 +281,6 @@ func BenchmarkFalseAggressorFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalVsFull compares a one-coupling what-if
-// re-analysis against a cold run on a sparse circuit.
-func BenchmarkIncrementalVsFull(b *testing.B) {
-	c, err := gen.Build(gen.Spec{Name: "inc", Gates: 400, Couplings: 160, Seed: 91})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := noise.NewModel(c)
-	all := noise.AllMask(c)
-	prev, err := m.Run(all)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mask := all.Clone()
-	mask[0] = false
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := m.RunIncremental(prev, all, mask); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Run(mask); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationVerifyTop measures verified selection against
 // estimate-only selection (elimination, i1, k=8).
 func BenchmarkAblationVerifyTop(b *testing.B) {

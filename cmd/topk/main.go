@@ -61,8 +61,6 @@ type config struct {
 	k                                  int
 	mode                               string
 	exact                              bool
-	exactPrune                         bool
-	exactWaveforms                     bool
 	curve, report, prefilter           bool
 	plot, net                          string
 	asJSON                             bool
@@ -92,8 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.k, "k", 10, "set cardinality")
 	fs.StringVar(&cfg.mode, "mode", "add", "add (addition set) or elim (elimination set)")
 	fs.BoolVar(&cfg.exact, "exact", false, "disable all pruning caps (small circuits only)")
-	fs.BoolVar(&cfg.exactPrune, "exact-prune", false, "disable the envelope-digest prune prefilter (results are identical; debugging/benchmark escape hatch)")
-	fs.BoolVar(&cfg.exactWaveforms, "exact-waveforms", false, "disable the flat-grid waveform screen in the noise fixpoint (results are identical; debugging/benchmark escape hatch)")
 	fs.BoolVar(&cfg.curve, "curve", false, "print the full per-cardinality delay curve")
 	fs.BoolVar(&cfg.report, "report", false, "print the noisy critical-path report")
 	fs.BoolVar(&cfg.prefilter, "filter", false, "report false-aggressor classification before the analysis")
@@ -144,9 +140,6 @@ func (cfg *config) execute(w io.Writer) (int, error) {
 	if cfg.fixWorkers > 0 {
 		m = m.WithWorkers(cfg.fixWorkers)
 	}
-	if cfg.exactWaveforms {
-		m = m.WithExactWaveforms(true)
-	}
 	var reg *topkagg.Metrics
 	if cfg.metrics || cfg.debugAddr != "" {
 		reg = topkagg.NewMetrics()
@@ -164,7 +157,6 @@ func (cfg *config) execute(w io.Writer) (int, error) {
 	if cfg.exact {
 		opt = topkagg.ExactOptions()
 	}
-	opt.ExactPrune = cfg.exactPrune
 
 	if cfg.prefilter {
 		fr, err := topkagg.FalseAggressors(m, topkagg.FilterOptions{})

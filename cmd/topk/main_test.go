@@ -190,12 +190,6 @@ func TestRunFlags(t *testing.T) {
 			wantOut:  []string{"top-2 add set", "prune-dom", "dig-hit", "dig-fb", "max-width", "envelope cache:"},
 		},
 		{
-			name:     "stats with exact-prune escape hatch",
-			args:     []string{"-netlist", ckt, "-k", "2", "-stats", "-exact-prune"},
-			wantCode: 0,
-			wantOut:  []string{"top-2 add set", "prune-dom", "dig-hit"},
-		},
-		{
 			name:     "metrics shows prune histogram and digest counters",
 			args:     []string{"-netlist", ckt, "-k", "2", "-metrics"},
 			wantCode: 0,

@@ -11,11 +11,11 @@ import (
 // TestDigestParity is the property test behind the digest prefilter's
 // central claim (DESIGN.md §10): the envelope-digest prefilter is
 // conservative, so enumeration with it enabled returns byte-identical
-// results to the exact-prune escape hatch — same selections, same
+// results to the exact-prune oracle — same selections, same
 // scores, same pruning counters — over the seeded differential
 // circuits, in both modes, at one and at eight workers. The only
 // permitted difference is the digest counters themselves, which are
-// zero by definition under ExactPrune.
+// zero by definition under exactPrune.
 func TestDigestParity(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
@@ -39,7 +39,7 @@ func TestDigestParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s workers=%d: %v", seed, mode, w, err)
 				}
-				exact, err := run(m, 4, Options{SlackFrac: 1, NoRescore: true, ExactPrune: true})
+				exact, err := run(m, 4, Options{SlackFrac: 1, NoRescore: true, exactPrune: true})
 				if err != nil {
 					t.Fatalf("seed %d %s workers=%d exact: %v", seed, mode, w, err)
 				}

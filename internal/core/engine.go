@@ -189,7 +189,7 @@ func (p *prepared) newEngine(bud *budget.B) *engine {
 		prs:      make([]pruner, n),
 	}
 	for i := range e.prs {
-		e.prs[i].exact = p.opt.ExactPrune
+		e.prs[i].exact = p.opt.exactPrune
 		e.prs[i].noDom = p.opt.NoDominance
 		e.prs[i].width = p.opt.listWidth()
 	}
@@ -1138,8 +1138,8 @@ func (e *engine) extendChain(chain *aggSet, po circuit.NetID, pos []circuit.NetI
 }
 
 // bestVerified gathers the strongest candidates at the targets (plus
-// the chain extension), re-evaluates each with the incremental
-// reference engine, and returns the one with the best *measured*
+// the chain extension), re-evaluates each with the reference noise
+// engine, and returns the one with the best *measured*
 // circuit delay. Returns a nil set when no candidate exists.
 func (e *engine) bestVerified(pos []circuit.NetID, chain *aggSet, chainPO circuit.NetID) (*aggSet, circuit.NetID, float64, error) {
 	type cand struct {
@@ -1230,15 +1230,7 @@ func (e *engine) bestVerified(pos []circuit.NetID, chain *aggSet, chainPO circui
 				mask[id] = false
 			}
 		}
-		var (
-			an  *noise.Analysis
-			err error
-		)
-		if e.mode == elimination {
-			an, _, err = e.m.RunIncrementalBudget(e.bud, e.full, prevMask, mask)
-		} else {
-			an, err = e.m.RunBudget(e.bud, mask)
-		}
+		an, err := e.m.RunBudget(e.bud, mask)
 		if err != nil {
 			return nil, 0, 0, err
 		}

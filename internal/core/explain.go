@@ -82,7 +82,7 @@ func explain(m *noise.Model, ids []circuit.CouplingID, md mode) (*Explanation, e
 		// Leave-one-out against the full set.
 		loo := fullMask.Clone()
 		loo[id] = !loo[id] // addition: deactivate; elimination: reactivate
-		an, _, err := m.RunIncremental(withSet, fullMask, loo)
+		an, err := m.Run(loo)
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +98,7 @@ func explain(m *noise.Model, ids []circuit.CouplingID, md mode) (*Explanation, e
 		// Solo against the baseline.
 		solo := baseMask.Clone()
 		solo[id] = !solo[id]
-		sa, _, err := m.RunIncremental(baseline, baseMask, solo)
+		sa, err := m.Run(solo)
 		if err != nil {
 			return nil, err
 		}

@@ -44,14 +44,6 @@ type Options struct {
 	// the ablation benchmarks.
 	NoPseudo bool
 
-	// ExactPrune disables the envelope-digest prefilter in dominance
-	// pruning, running the exact PWL encapsulation check on every
-	// candidate pair. The digest prefilter is conservative — results
-	// are byte-identical either way (the digest-parity property test
-	// pins this) — so this is purely an escape hatch for debugging and
-	// for benchmarking the prefilter's effect.
-	ExactPrune bool
-
 	// NoRescore skips re-evaluating each selected set with the
 	// reference noise engine; Result delays then carry the
 	// enumeration's own estimates.
@@ -63,14 +55,22 @@ type Options struct {
 	Active noise.Mask
 
 	// VerifyTop, when positive, re-evaluates the top VerifyTop
-	// candidate sets at each cardinality with the (incremental)
-	// reference noise engine and selects by measured delay instead of
-	// by envelope estimate. This closes most of the gap between the
-	// envelope model's estimates and ground truth — particularly for
-	// the elimination problem, where joint removals interact through
-	// gate masking — at the cost of VerifyTop incremental analyses per
+	// candidate sets at each cardinality with the reference noise
+	// engine and selects by measured delay instead of by envelope
+	// estimate. This closes most of the gap between the envelope
+	// model's estimates and ground truth — particularly for the
+	// elimination problem, where joint removals interact through gate
+	// masking — at the cost of up to 2·VerifyTop fixpoint runs per
 	// cardinality.
 	VerifyTop int
+
+	// exactPrune disables the envelope-digest prefilter in dominance
+	// pruning, running the exact PWL encapsulation check on every
+	// candidate pair. The digest prefilter is conservative — results
+	// are byte-identical either way — so only the in-package
+	// digest-parity tests set it, as the oracle the prefilter is
+	// checked against.
+	exactPrune bool
 }
 
 // Defaults for the zero Options value.

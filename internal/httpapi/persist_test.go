@@ -2,12 +2,14 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"topkagg/internal/core"
@@ -166,53 +168,91 @@ func TestPersistCorruptTailRebuilds(t *testing.T) {
 
 // TestPersistCorruptHeadLosesModelNotServer: damage before the design
 // source leaves nothing to rebuild from — the model is lost and says
-// so, but the server boots, quarantines the file, and keeps serving
-// everything else.
+// so with a typed format error, but the server boots ready,
+// quarantines the file, keeps serving everything else, and accepts the
+// lost model again on re-upload. A container written under an older
+// format version takes the same path: its header is refused before a
+// single section is read.
 func TestPersistCorruptHeadLosesModelNotServer(t *testing.T) {
-	dir := t.TempDir()
+	damage := []struct {
+		name string
+		hurt func(data []byte)
+		want string // substring of the format error
+	}{
+		{"meta bit flip", func(data []byte) {
+			data[len(snapshot.Magic)+4+3] ^= 0x01 // inside the meta section frame
+		}, "truncated section"},
+		{"version 1 container", func(data []byte) {
+			binary.LittleEndian.PutUint32(data[len(snapshot.Magic):], 1)
+		}, "unsupported version 1"},
+	}
 	c := testCircuit(t, 35)
-	srvA, tsA, _ := newPersistServer(t, dir)
-	uploadNetlist(t, tsA, "keep", c)
-	uploadNetlist(t, tsA, "lost", c)
-	if err := srvA.SaveAll(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(snapPath(dir, "lost"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(snapshot.Magic)+4+3] ^= 0x01 // inside the meta section frame
-	if err := os.WriteFile(snapPath(dir, "lost"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, dmg := range damage {
+		t.Run(dmg.name, func(t *testing.T) {
+			dir := t.TempDir()
+			srvA, tsA, _ := newPersistServer(t, dir)
+			uploadNetlist(t, tsA, "keep", c)
+			uploadNetlist(t, tsA, "lost", c)
+			if err := srvA.SaveAll(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(snapPath(dir, "lost"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dmg.hurt(data)
+			if err := os.WriteFile(snapPath(dir, "lost"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	_, tsB, outs := newPersistServer(t, dir)
-	if len(outs) != 2 {
-		t.Fatalf("outcomes: %+v", outs)
-	}
-	for _, o := range outs {
-		switch o.Name {
-		case "keep":
-			if !o.Warm {
-				t.Errorf("keep: %+v", o)
+			_, tsB, outs := newPersistServer(t, dir)
+			if len(outs) != 2 {
+				t.Fatalf("outcomes: %+v", outs)
 			}
-		case "lost":
-			if o.Warm || o.Rebuilt || o.Quarantined == "" || o.Err == nil {
-				t.Errorf("lost: %+v", o)
+			for _, o := range outs {
+				switch o.Name {
+				case "keep":
+					if !o.Warm {
+						t.Errorf("keep: %+v", o)
+					}
+				case "lost":
+					if o.Warm || o.Rebuilt || o.Quarantined == "" || o.Err == nil {
+						t.Fatalf("lost: %+v", o)
+					}
+					var fe *snapshot.FormatError
+					if !errors.As(o.Err, &fe) || !strings.Contains(fe.Msg, dmg.want) {
+						t.Errorf("lost: error %v, want a *snapshot.FormatError about %q", o.Err, dmg.want)
+					}
+					if _, err := os.Stat(o.Quarantined); err != nil {
+						t.Errorf("quarantined evidence missing: %v", err)
+					}
+				}
 			}
-		}
-	}
-	status, _ := post(t, tsB, "/v1/models/keep/query", QueryRequest{Op: "addition", K: 1})
-	if status != http.StatusOK {
-		t.Errorf("surviving model: status %d", status)
-	}
-	resp, err := tsB.Client().Get(tsB.URL + "/v1/models/lost")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("lost model still registered: status %d", resp.StatusCode)
+			resp, err := tsB.Client().Get(tsB.URL + "/readyz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("/readyz after boot: status %d", resp.StatusCode)
+			}
+			status, _ := post(t, tsB, "/v1/models/keep/query", QueryRequest{Op: "addition", K: 1})
+			if status != http.StatusOK {
+				t.Errorf("surviving model: status %d", status)
+			}
+			resp, err = tsB.Client().Get(tsB.URL + "/v1/models/lost")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("lost model still registered: status %d", resp.StatusCode)
+			}
+			uploadNetlist(t, tsB, "lost", c)
+			if status, body := post(t, tsB, "/v1/models/lost/query", QueryRequest{Op: "addition", K: 1}); status != http.StatusOK {
+				t.Errorf("re-uploaded model: status %d: %s", status, body)
+			}
+		})
 	}
 }
 

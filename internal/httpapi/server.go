@@ -124,9 +124,6 @@ func (s *Server) Drain() {
 // and preloads have finished.
 func (s *Server) SetReady(v bool) { s.ready.Store(v) }
 
-// Ready reports the current /readyz state.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 // Preload registers an already-parsed circuit directly, bypassing
 // HTTP — for in-process harnesses. Models registered this way carry no
 // upload material and are therefore skipped by snapshot persistence;

@@ -73,10 +73,9 @@ type evalScratch struct {
 	counts evalCounts
 }
 
-// fixpoint is the worklist-driven engine behind Run and
-// RunIncremental. It keeps the circuit timing in an sta.Incremental
-// (so injecting one net's noise re-times only its fanout cone) and
-// between sweeps tracks exactly the victims whose inputs moved:
+// fixpoint is the worklist-driven engine behind Run. It keeps the
+// circuit timing in an sta.Incremental (so injecting one net's noise
+// re-times only its fanout cone) and between sweeps tracks exactly the victims whose inputs moved:
 //
 //   - a victim whose own window changed (its reference ramp moved),
 //   - a victim coupled to a net whose window changed (its aggressor
@@ -98,7 +97,7 @@ type evalScratch struct {
 // already-committed noise) and skips breakpoints that provably cannot
 // host the crossing. Published numbers never come from a grid sample —
 // the grid only discards work — so results are byte-identical with
-// the screen disabled (Model.ExactWaveforms).
+// the screen disabled (Model.exactWaveforms, set by the parity tests).
 //
 // Within one sweep the dirty victims are evaluated in parallel: an
 // atomic cursor hands out queue slots, each worker writes only its
@@ -109,9 +108,8 @@ type evalScratch struct {
 // so results are byte-identical for any worker count.
 //
 // A fixpoint is pooled on its Model (getFixpoint/putFixpoint): the
-// victim CSR, memo arrays and worker scratch are rebuilt in place per
-// run, and the envelope memo persists across runs while the circuit
-// snapshot is unchanged.
+// victim CSR, envelope memo and worker scratch are rebuilt in place
+// per run, so only their storage outlives a run.
 type fixpoint struct {
 	m    *Model
 	cols *circuit.Columns
@@ -156,19 +154,9 @@ type fixpoint struct {
 
 	envs []envEntry // memo cache indexed by CoupDir (2*CouplingID + side)
 
-	// Per-victim memo of the raw delay-noise evaluation, keyed on the
-	// reference arrival and slew and invalidated whenever any incident
-	// envelope rebuilt. Owned by the victim's evaluator, so parallel
-	// sweeps touch disjoint entries. Cleared every run: the stored
-	// value depends on the run's active-coupling set.
-	rawLAT  []float64
-	rawSlew []float64
-	rawVal  []float64
-	rawOK   []bool
-
 	scratch []evalScratch
 	workers int
-	exact   bool // Model.ExactWaveforms: disable the grid fast path
+	exact   bool // Model.exactWaveforms: disable the grid fast path
 
 	bud *budget.B // cooperative stop; nil runs unbounded
 	obs *fixObs   // resolved metric handles; nil when uninstrumented
@@ -204,14 +192,15 @@ func grow[T any](s []T, n int) []T {
 
 // newFixpoint builds the sweep state for one analysis: the victim CSR
 // under the given mask, the envelope memo cache and the per-worker
-// scratch. inc carries the starting timing and noise vector; bud (nil
+// scratch, with every victim marked dirty for the cold first sweep.
+// inc carries the starting timing and noise vector; bud (nil
 // = unlimited) lets the caller cancel the ascent between evaluation
 // batches. The returned engine must be released with putFixpoint.
 func newFixpoint(m *Model, active Mask, inc *sta.Incremental, bud *budget.B) *fixpoint {
 	cols := inc.Columns()
 	f := m.getFixpoint()
 	f.m, f.cols, f.inc, f.bud = m, cols, inc, bud
-	f.exact = m.ExactWaveforms
+	f.exact = m.exactWaveforms
 
 	nn := cols.NumNets()
 	f.vIndex = grow(f.vIndex, nn)
@@ -244,12 +233,9 @@ func newFixpoint(m *Model, active Mask, inc *sta.Incremental, bud *budget.B) *fi
 
 	nv := len(f.victims)
 	f.dirty = grow(f.dirty, nv)
-	clear(f.dirty)
-	f.rawLAT = grow(f.rawLAT, nv)
-	f.rawSlew = grow(f.rawSlew, nv)
-	f.rawVal = grow(f.rawVal, nv)
-	f.rawOK = grow(f.rawOK, nv)
-	clear(f.rawOK)
+	for vi := range f.dirty {
+		f.dirty[vi] = true
+	}
 	f.notified = append(f.notified[:0], inc.Result().Windows...)
 	f.markTol = m.Tol
 
@@ -284,14 +270,6 @@ func newFixpoint(m *Model, active Mask, inc *sta.Incremental, bud *budget.B) *fi
 	}
 	f.obs = newFixObs(m.Obs)
 	return f
-}
-
-// seedAll marks every victim for evaluation — the cold start of Run's
-// first sweep.
-func (f *fixpoint) seedAll() {
-	for vi := range f.dirty {
-		f.dirty[vi] = true
-	}
 }
 
 // markChanged marks the victims whose evaluation depends on any of the
@@ -337,8 +315,6 @@ func windowMoved(a, b sta.Window, tol float64) bool {
 
 // iterate runs sweeps over the dirty victims until the largest noise
 // movement of a sweep is within Tol or the iteration budget runs out.
-// Callers seed the dirty set first (seedAll for a cold run, the change
-// cone for an incremental one).
 //
 // A non-nil error means the ascent was stopped before settling — the
 // caller's budget tripped (cancellation, deadline, work allowance) or
@@ -500,8 +476,8 @@ func (f *fixpoint) pulseFromCols(v, cid int32, aggSlew float64) Pulse {
 // aggressors' current windows, applying the monotone clamp of the
 // fixpoint ascent. It reads only sweep-frozen state (windows, noise,
 // its own cache entries) and writes only the worker's scratch and its
-// own memo entries, so concurrent evaluations of distinct victims
-// never interfere.
+// own envelope-memo entries, so concurrent evaluations of distinct
+// victims never interfere.
 func (f *fixpoint) evaluate(vi int, s *evalScratch) float64 {
 	faultinject.Fire(faultinject.SiteNoiseEval)
 	v := f.victims[vi]
@@ -512,7 +488,6 @@ func (f *fixpoint) evaluate(vi int, s *evalScratch) float64 {
 	s.counts.evals++
 	lo, hi := f.vOff[vi], f.vOff[vi+1]
 	nact := 0
-	allHit := true
 	for j := lo; j < hi; j++ {
 		e := &f.envs[f.vEnv[j]]
 		if !e.valid {
@@ -535,7 +510,6 @@ func (f *fixpoint) evaluate(vi int, s *evalScratch) float64 {
 					win.LAT, e.pulse.Fall, e.pulse.Vp, e.invRise, e.invFall)
 			}
 			e.valid = true
-			allHit = false
 		} else {
 			s.counts.envHits++
 		}
@@ -543,30 +517,13 @@ func (f *fixpoint) evaluate(vi int, s *evalScratch) float64 {
 			nact++
 		}
 	}
-	if !allHit {
-		f.rawOK[vi] = false
-	}
 	// The reference victim transition includes noise propagated from
 	// the fanin but not the victim's own injected noise (which is
 	// exactly what is being recomputed here).
 	vw := wins[v]
 	prev := f.inc.ExtraLAT()[v]
 	vw.LAT -= prev
-	var n float64
-	if f.rawOK[vi] && vw.LAT == f.rawLAT[vi] && vw.Slew == f.rawSlew[vi] {
-		// Identical envelopes, reference arrival and slew: the memoized
-		// value stands. (A grid-screened memo entry stores the prev it
-		// proved unbeatable; prev is monotone per victim within a run,
-		// so the clamp below reconciles it exactly as a re-screen
-		// would.)
-		s.counts.rawHits++
-		n = f.rawVal[vi]
-	} else {
-		s.counts.rawMisses++
-		n = f.delayNoiseFlat(vw, prev, f.vTraps[lo:hi], f.vAct[lo:hi], nact, s)
-		f.rawLAT[vi], f.rawSlew[vi], f.rawVal[vi] = vw.LAT, vw.Slew, n
-		f.rawOK[vi] = true
-	}
+	n := f.delayNoiseFlat(vw, prev, f.vTraps[lo:hi], f.vAct[lo:hi], nact, s)
 	// Keep per-net noise monotone across iterations: arrival shifts
 	// can move a victim past an aggressor envelope and make the raw
 	// recomputation oscillate, but delay noise once observed is never
@@ -625,7 +582,7 @@ func (f *fixpoint) gAt(t, r0, r1 float64, traps []waveform.Trap) float64 {
 // caller's monotone clamp would restore anyway), the walk is skipped
 // entirely and prev is returned. Both shortcuts discard provably
 // irrelevant work only, so the result is byte-identical to the exact
-// walk (Model.ExactWaveforms).
+// walk (Model.exactWaveforms).
 func (f *fixpoint) delayNoiseFlat(vw sta.Window, prev float64, traps []waveform.Trap, act []bool, nact int, s *evalScratch) float64 {
 	if nact == 0 {
 		return 0

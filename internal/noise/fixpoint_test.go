@@ -1,7 +1,6 @@
 package noise
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -49,55 +48,6 @@ func TestFixpointWorkerCountInvariant(t *testing.T) {
 						seed, workers, n, w, ref.Timing.Windows[n])
 				}
 			}
-		}
-	}
-}
-
-// TestRunIncrementalMatchesColdRun checks that the incremental path —
-// adopted previous timing, cone-restarted noise, worklist-seeded
-// fixpoint — lands on the same fixpoint a cold Run computes for the
-// new mask. The ascent is mildly iteration-order dependent, so the
-// comparison allows a sub-picosecond tolerance (see RunIncremental's
-// doc comment); any algorithmic divergence would exceed it by orders
-// of magnitude.
-func TestRunIncrementalMatchesColdRun(t *testing.T) {
-	const tol = 1e-4
-	for _, seed := range []int64{5, 13, 29} {
-		c, err := gen.Build(gen.Spec{Name: "iprop", Gates: 40, Couplings: 70, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := NewModel(c)
-		prevMask := AllMask(c)
-		prev, err := m.Run(prevMask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := rand.New(rand.NewSource(seed))
-		mask := prevMask.Clone()
-		for i := 0; i < 5; i++ {
-			mask[r.Intn(len(mask))] = false
-		}
-		incAn, _, err := m.RunIncremental(prev, prevMask, mask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := m.Run(mask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if incAn.Converged != cold.Converged {
-			t.Errorf("seed %d: converged %v, cold %v", seed, incAn.Converged, cold.Converged)
-		}
-		for n := range cold.NetNoise {
-			if d := math.Abs(incAn.NetNoise[n] - cold.NetNoise[n]); d > tol {
-				t.Errorf("seed %d: net %d noise %v, cold %v (diff %g)",
-					seed, n, incAn.NetNoise[n], cold.NetNoise[n], d)
-			}
-		}
-		if d := math.Abs(incAn.CircuitDelay() - cold.CircuitDelay()); d > tol {
-			t.Errorf("seed %d: circuit delay %v, cold %v (diff %g)",
-				seed, incAn.CircuitDelay(), cold.CircuitDelay(), d)
 		}
 	}
 }

@@ -25,7 +25,9 @@ func assertGridExactParity(t *testing.T, m *Model) {
 		if err != nil {
 			t.Fatalf("grid run (workers=%d): %v", w, err)
 		}
-		e, err := m.WithWorkers(w).WithExactWaveforms(true).Run(nil)
+		exact := m.WithWorkers(w)
+		exact.exactWaveforms = true
+		e, err := exact.Run(nil)
 		if err != nil {
 			t.Fatalf("exact run (workers=%d): %v", w, err)
 		}
@@ -35,25 +37,37 @@ func assertGridExactParity(t *testing.T, m *Model) {
 	}
 	ref := runs[0]
 	for _, r := range runs[1:] {
-		if r.an.Iterations != ref.an.Iterations || r.an.Converged != ref.an.Converged {
-			t.Fatalf("%s vs %s: iterations/converged %d/%v vs %d/%v",
-				r.name, ref.name, r.an.Iterations, r.an.Converged, ref.an.Iterations, ref.an.Converged)
-		}
-		for n := range ref.an.NetNoise {
-			if math.Float64bits(r.an.NetNoise[n]) != math.Float64bits(ref.an.NetNoise[n]) {
-				t.Fatalf("%s vs %s: NetNoise[%d] = %v vs %v",
-					r.name, ref.name, n, r.an.NetNoise[n], ref.an.NetNoise[n])
-			}
-		}
-		for _, n := range m.C.Nets() {
-			rw, ww := r.an.Timing.Window(n.ID), ref.an.Timing.Window(n.ID)
-			if math.Float64bits(rw.EAT) != math.Float64bits(ww.EAT) ||
-				math.Float64bits(rw.LAT) != math.Float64bits(ww.LAT) ||
-				math.Float64bits(rw.Slew) != math.Float64bits(ww.Slew) {
-				t.Fatalf("%s vs %s: window[%s] = %+v vs %+v", r.name, ref.name, n.Name, rw, ww)
-			}
+		if d := analysisDiff(r.an, ref.an); d != "" {
+			t.Fatalf("%s vs %s: %s", r.name, ref.name, d)
 		}
 	}
+}
+
+// analysisDiff returns "" when a and b are bit-identical in every
+// published number — iteration count, convergence, per-net noise and
+// every noisy timing window — and otherwise describes the first
+// difference.
+func analysisDiff(a, b *Analysis) string {
+	if a.Iterations != b.Iterations || a.Converged != b.Converged {
+		return fmt.Sprintf("iterations/converged %d/%v vs %d/%v", a.Iterations, a.Converged, b.Iterations, b.Converged)
+	}
+	if len(a.NetNoise) != len(b.NetNoise) || len(a.Timing.Windows) != len(b.Timing.Windows) {
+		return fmt.Sprintf("sizes %d/%d vs %d/%d", len(a.NetNoise), len(a.Timing.Windows), len(b.NetNoise), len(b.Timing.Windows))
+	}
+	for n := range a.NetNoise {
+		if math.Float64bits(a.NetNoise[n]) != math.Float64bits(b.NetNoise[n]) {
+			return fmt.Sprintf("NetNoise[%d] = %v vs %v", n, a.NetNoise[n], b.NetNoise[n])
+		}
+	}
+	for n, aw := range a.Timing.Windows {
+		bw := b.Timing.Windows[n]
+		if math.Float64bits(aw.EAT) != math.Float64bits(bw.EAT) ||
+			math.Float64bits(aw.LAT) != math.Float64bits(bw.LAT) ||
+			math.Float64bits(aw.Slew) != math.Float64bits(bw.Slew) {
+			return fmt.Sprintf("window[%d] = %+v vs %+v", n, aw, bw)
+		}
+	}
+	return ""
 }
 
 // TestGridExactParitySeededCircuits sweeps 50 seeded random circuits
@@ -66,15 +80,33 @@ func TestGridExactParitySeededCircuits(t *testing.T) {
 		seeds = 12
 	}
 	for seed := 0; seed < seeds; seed++ {
-		spec := gen.Spec{
+		c, err := gen.Build(gen.Spec{
 			Name:      fmt.Sprintf("parity%d", seed),
 			Gates:     20 + (seed*7)%60,
 			Couplings: 30 + (seed*13)%150,
 			Seed:      int64(2000 + seed),
-		}
-		c, err := gen.Build(spec)
+		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		assertGridExactParity(t, NewModel(c))
+	}
+}
+
+// TestGridExactParityPerKCircuits runs the parity check on the small
+// circuits (14 gates, 16 couplings, seeds 601-612) that top-k curves
+// were once compared on end to end: with rescoring off, a curve
+// depends on the fixpoint only through the all-couplings Analysis
+// compared here, so its bit-identity carries the curves'.
+func TestGridExactParityPerKCircuits(t *testing.T) {
+	seeds := 12
+	if testing.Short() {
+		seeds = 4
+	}
+	for seed := 1; seed <= seeds; seed++ {
+		c, err := gen.Build(gen.Spec{Name: "gridperk", Gates: 14, Couplings: 16, Seed: int64(600 + seed)})
+		if err != nil {
+			t.Fatalf("seed %d: %v", 600+seed, err)
 		}
 		assertGridExactParity(t, NewModel(c))
 	}

@@ -1,55 +1,32 @@
 package noise
 
 import (
-	"context"
-	"fmt"
-
-	"topkagg/internal/bitset"
 	"topkagg/internal/budget"
 	"topkagg/internal/circuit"
-	"topkagg/internal/sta"
 )
 
 // IncrementalStats reports what an incremental run actually did.
 type IncrementalStats struct {
-	// Affected is the number of nets whose noise was recomputed.
+	// Affected is the number of nets whose noise was recomputed: every
+	// net when a coupling changed, none when prev was returned as is.
 	Affected int
-	// Full reports whether the change cone was so large that the
-	// engine fell back to a complete run.
+	// Full reports whether a fixpoint ran (any coupling changed, or
+	// there was no prev to reuse).
 	Full bool
 }
 
 // RunIncremental re-evaluates the noise fixpoint after the active
 // coupling mask changed from prevMask (the mask prev was computed
-// with) to mask, recomputing delay noise only inside the change cone:
-// the smallest net set closed under gate fanout and coupling
-// adjacency that contains every endpoint of a changed coupling. Nets
-// outside the cone keep their previous noise — their windows and
-// aggressor envelopes are provably unchanged.
-//
-// This is the engine for what-if loops (shield this, re-check that):
-// fixing one coupling on a large design touches a small cone instead
-// of the whole netlist. When the cone covers most of the circuit the
-// engine falls back to a full Run.
-//
-// The fixpoint ascent is mildly iteration-order dependent (per-net
-// noise is clamped monotone across iterations, and raw re-evaluations
-// are alignment-sensitive), so incremental results can differ from a
-// cold Run by sub-femtosecond-to-sub-picosecond amounts; they agree
-// well inside any physical tolerance.
+// with) to mask. When no coupling changed it returns prev itself;
+// otherwise it runs the fixpoint cold under mask, so the result is
+// bit-identical to Run(mask). This is the engine for what-if loops
+// (shield this, re-check that).
 //
 // Like Run, RunIncremental never writes to the model, the circuit,
 // prev or the masks; many incremental analyses may share one prev
 // concurrently.
 func (m *Model) RunIncremental(prev *Analysis, prevMask, mask Mask) (*Analysis, IncrementalStats, error) {
 	return m.RunIncrementalBudget(nil, prev, prevMask, mask)
-}
-
-// RunIncrementalCtx is RunIncremental honoring the context's
-// cancellation and deadline with the same bounded-granularity polling
-// and all-or-nothing sweep commit as RunCtx.
-func (m *Model) RunIncrementalCtx(ctx context.Context, prev *Analysis, prevMask, mask Mask) (*Analysis, IncrementalStats, error) {
-	return m.RunIncrementalBudget(budget.New(ctx), prev, prevMask, mask)
 }
 
 // RunIncrementalBudget is the budget-carrying form of RunIncremental;
@@ -59,120 +36,28 @@ func (m *Model) RunIncrementalBudget(b *budget.B, prev *Analysis, prevMask, mask
 	if m.Obs != nil {
 		m.Obs.Counter("noise.incremental.runs").Inc()
 	}
-	if prev == nil {
-		an, err := m.RunBudget(b, mask)
-		m.incrementalDone(m.C.NumNets(), true)
-		return an, IncrementalStats{Affected: m.C.NumNets(), Full: true}, err
-	}
-	changed := changedCouplings(m.C, prevMask, mask)
-	if len(changed) == 0 {
-		m.incrementalDone(0, false)
+	if prev != nil && !masksDiffer(m.C, prevMask, mask) {
 		return prev, IncrementalStats{}, nil
 	}
-	affected := m.changeCone(changed)
-	defer bitset.Put(affected)
-	nAffected := affected.Count()
-	if nAffected >= m.C.NumNets()*3/5 {
-		an, err := m.RunBudget(b, mask)
-		m.incrementalDone(m.C.NumNets(), true)
-		return an, IncrementalStats{Affected: m.C.NumNets(), Full: true}, err
-	}
-
-	// Adopt the previous converged timing — prev.Timing is exactly
-	// what a full analysis with prev.NetNoise produces, so the
-	// incremental analyzer starts bit-aligned with prev and the only
-	// re-timing work is the cone restart below.
-	inc, err := sta.NewIncrementalFrom(prev.Timing, sta.Options{PIArrival: m.PIArrival, ExtraLAT: prev.NetNoise})
-	if err != nil {
-		return nil, IncrementalStats{}, fmt.Errorf("noise: incremental: %w", err)
-	}
-	affected.ForEach(func(v int) {
-		inc.SetExtraLAT(circuit.NetID(v), 0) // the cone restarts; couplings may have been removed
-	})
-	f := newFixpoint(m, mask, inc, b)
-	defer m.putFixpoint(f)
-	f.markChanged(inc.Update())
-	affected.ForEach(func(v int) {
-		if vi := f.vIndex[v]; vi >= 0 {
-			f.dirty[vi] = true
-		}
-	})
-	iters, converged, err := f.iterate()
-	if err != nil {
-		return nil, IncrementalStats{}, fmt.Errorf("noise: incremental: %w", err)
-	}
-	an := &Analysis{
-		Base:       prev.Base,
-		Timing:     inc.Snapshot(),
-		NetNoise:   append([]float64(nil), inc.ExtraLAT()...),
-		Iterations: iters,
-		Converged:  converged,
-	}
-	m.incrementalDone(nAffected, false)
-	return an, IncrementalStats{Affected: nAffected}, nil
+	an, err := m.RunBudget(b, mask)
+	return an, IncrementalStats{Affected: m.C.NumNets(), Full: true}, err
 }
 
-// incrementalDone records one RunIncremental outcome: the size of the
-// recomputed cone and whether it degenerated to a full run. No-op
-// without a registry.
-func (m *Model) incrementalDone(affected int, full bool) {
-	if m.Obs == nil {
-		return
-	}
-	m.Obs.Histogram("noise.incremental.affected").Observe(int64(affected))
-	if full {
-		m.Obs.Counter("noise.incremental.full_fallbacks").Inc()
-	}
-}
-
-// changedCouplings returns the IDs whose activation differs between
-// the two masks.
-func changedCouplings(c *circuit.Circuit, a, b Mask) []circuit.CouplingID {
-	var out []circuit.CouplingID
+// masksDiffer reports whether any coupling's activation differs
+// between the two masks.
+func masksDiffer(c *circuit.Circuit, a, b Mask) bool {
 	for i := 0; i < c.NumCouplings(); i++ {
 		id := circuit.CouplingID(i)
 		if a.Active(id) != b.Active(id) {
-			out = append(out, id)
+			return true
 		}
 	}
-	return out
-}
-
-// changeCone returns the nets whose noise or windows can change when
-// the given couplings toggle: the endpoints, closed under gate fanout
-// (windows shift downstream) and coupling adjacency (envelopes depend
-// on neighbour windows). The set is a pooled dense bitset; the caller
-// releases it with bitset.Put.
-func (m *Model) changeCone(changed []circuit.CouplingID) *bitset.Dense {
-	cone := bitset.Get(m.C.NumNets())
-	var stack []circuit.NetID
-	push := func(n circuit.NetID) {
-		if !cone.Get(int(n)) {
-			cone.Set(int(n))
-			stack = append(stack, n)
-		}
-	}
-	for _, id := range changed {
-		cp := m.C.Coupling(id)
-		push(cp.A)
-		push(cp.B)
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, gid := range m.C.Net(n).Loads {
-			push(m.C.Gate(gid).Output)
-		}
-		for _, cid := range m.C.CouplingsOf(n) {
-			push(m.C.Coupling(cid).Other(n))
-		}
-	}
-	return cone
+	return false
 }
 
 // DelayDelta is a convenience for what-if loops: the circuit-delay
 // change from prev after toggling the given couplings off (fix) or on
-// (unfix), evaluated incrementally.
+// (unfix).
 func (m *Model) DelayDelta(prev *Analysis, prevMask Mask, fix []circuit.CouplingID) (float64, *Analysis, error) {
 	var mask Mask
 	if prevMask == nil {

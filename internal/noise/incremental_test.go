@@ -1,7 +1,7 @@
 package noise
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -38,6 +38,9 @@ func TestIncrementalNilPrevFallsBack(t *testing.T) {
 	}
 }
 
+// TestIncrementalMatchesFullOnSingleFix fixes one coupling at a time
+// (every seventh) from the all-active base and requires RunIncremental
+// to equal a cold Run of the same mask bit for bit.
 func TestIncrementalMatchesFullOnSingleFix(t *testing.T) {
 	m := smallModel(t, 33)
 	all := AllMask(m.C)
@@ -56,22 +59,17 @@ func TestIncrementalMatchesFullOnSingleFix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Sub-picosecond tolerance: the ascent is mildly
-		// iteration-order dependent (see RunIncremental docs).
-		if d := math.Abs(got.CircuitDelay() - want.CircuitDelay()); d > 1e-4 {
-			t.Fatalf("fix %d: incremental delay off by %g", id, d)
-		}
-		for _, n := range m.C.Nets() {
-			if d := math.Abs(got.NetNoise[n.ID] - want.NetNoise[n.ID]); d > 1e-4 {
-				t.Fatalf("fix %d: net %s noise off by %g", id, n.Name, d)
-			}
+		if d := analysisDiff(got, want); d != "" {
+			t.Fatalf("fix %d: incremental vs cold: %s", id, d)
 		}
 	}
 }
 
+// TestQuickIncrementalMatchesFull toggles one or two random couplings
+// on a sparse circuit and requires RunIncremental to equal a cold Run
+// bit for bit, reporting a full run over every net whenever the mask
+// really changed.
 func TestQuickIncrementalMatchesFull(t *testing.T) {
-	// Sparse circuit so change cones stay small and the incremental
-	// path (not the fallback) is exercised.
 	c, err := gen.Build(gen.Spec{Name: "inc", Gates: 50, Couplings: 25, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +80,7 @@ func TestQuickIncrementalMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawIncremental := false
+	changed := 0
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		mask := all.Clone()
@@ -98,41 +96,80 @@ func TestQuickIncrementalMatchesFull(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !st.Full && st.Affected > 0 {
-			sawIncremental = true
+		if got != prev {
+			changed++
+			if !st.Full || st.Affected != c.NumNets() {
+				return false
+			}
 		}
-		return math.Abs(got.CircuitDelay()-want.CircuitDelay()) < 1e-4
+		return analysisDiff(got, want) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Fatal(err)
 	}
-	if !sawIncremental {
-		t.Fatal("test never exercised the incremental path; shrink the circuit's coupling density")
+	if changed == 0 {
+		t.Fatal("no trial changed the mask; the toggles never fixed a coupling")
 	}
 }
 
-func TestIncrementalConeSmallerThanCircuit(t *testing.T) {
-	c, err := gen.Build(gen.Spec{Name: "inc", Gates: 80, Couplings: 30, Seed: 43})
-	if err != nil {
-		t.Fatal(err)
+// TestRunIncrementalMatchesColdRun is the what-if contract: whatever
+// the previous mask and whichever couplings toggle, RunIncremental
+// answers bit for bit what a cold Run of the new mask computes — every
+// net's noise, every timing window, the iteration count and the
+// convergence flag. The circuits span dense coupling and a sparse
+// circuit, where a toggle's fanout and coupling neighbourhood covers
+// only a few nets.
+func TestRunIncrementalMatchesColdRun(t *testing.T) {
+	specs := []gen.Spec{
+		{Name: "iprop", Gates: 40, Couplings: 70, Seed: 5},
+		{Name: "iprop", Gates: 40, Couplings: 70, Seed: 13},
+		{Name: "iprop", Gates: 40, Couplings: 70, Seed: 29},
+		{Name: "inc", Gates: 50, Couplings: 25, Seed: 41},
 	}
-	m := NewModel(c)
-	all := AllMask(c)
-	prev, err := m.Run(all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mask := all.Clone()
-	mask[0] = false
-	_, st, err := m.RunIncremental(prev, all, mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Full {
-		t.Skip("cone covered the circuit on this seed")
-	}
-	if st.Affected <= 0 || st.Affected >= c.NumNets() {
-		t.Fatalf("affected = %d of %d nets", st.Affected, c.NumNets())
+	for _, spec := range specs {
+		c, err := gen.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewModel(c)
+		r := rand.New(rand.NewSource(spec.Seed))
+		partial := NewMask(c)
+		for i := range partial {
+			partial[i] = r.Intn(3) != 0
+		}
+		for _, prevMask := range []Mask{nil, partial} {
+			prev, err := m.Run(prevMask)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 8; trial++ {
+				mask := AllMask(c)
+				if prevMask != nil {
+					mask = prevMask.Clone()
+				}
+				var toggled []int
+				for i := 0; i < 1+r.Intn(5); i++ {
+					id := r.Intn(len(mask))
+					mask[id] = !mask[id]
+					toggled = append(toggled, id)
+				}
+				label := fmt.Sprintf("%s seed %d prev-partial=%v toggle %v", spec.Name, spec.Seed, prevMask != nil, toggled)
+				got, st, err := m.RunIncremental(prev, prevMask, mask)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				want, err := m.Run(mask)
+				if err != nil {
+					t.Fatalf("%s: cold: %v", label, err)
+				}
+				if d := analysisDiff(got, want); d != "" {
+					t.Fatalf("%s: incremental vs cold: %s", label, d)
+				}
+				if got != prev && (!st.Full || st.Affected != c.NumNets()) {
+					t.Errorf("%s: stats %+v after a real change", label, st)
+				}
+			}
+		}
 	}
 }
 

@@ -117,13 +117,14 @@ type Model struct {
 	// (see internal/obs and DESIGN.md §8). Nil disables instrumentation
 	// at near-zero cost; analysis results are identical either way.
 	Obs *obs.Registry
-	// ExactWaveforms disables the flat-grid screen of the fixpoint
+
+	// exactWaveforms disables the flat-grid screen of the fixpoint
 	// kernel: every victim evaluation runs the exact crossing walk over
 	// all envelope breakpoints. Results are byte-identical either way —
 	// the grid only skips work it proves cannot change the outcome
-	// (DESIGN.md §12) — so the flag exists for differential testing
-	// (cmd/topk -exact-waveforms) and debugging, at a throughput cost.
-	ExactWaveforms bool
+	// (DESIGN.md §12) — so only the in-package parity tests set it, as
+	// the oracle the grid is checked against.
+	exactWaveforms bool
 
 	// fixPool recycles fixpoint engine state (victim CSR, envelope
 	// memo, per-worker scratch) across runs on the same model. Shallow
@@ -147,14 +148,6 @@ func (m *Model) WithObs(r *obs.Registry) *Model {
 func (m *Model) WithWorkers(n int) *Model {
 	cp := *m
 	cp.Workers = n
-	return &cp
-}
-
-// WithExactWaveforms returns a shallow copy of the model with the
-// grid fast path enabled or disabled; see the ExactWaveforms field.
-func (m *Model) WithExactWaveforms(exact bool) *Model {
-	cp := *m
-	cp.ExactWaveforms = exact
 	return &cp
 }
 
@@ -395,7 +388,6 @@ func (m *Model) RunBudget(b *budget.B, active Mask) (*Analysis, error) {
 	inc.Instrument(m.Obs)
 	f := newFixpoint(m, active, inc, b)
 	defer m.putFixpoint(f)
-	f.seedAll()
 	iters, converged, err := f.iterate()
 	if err != nil {
 		return nil, fmt.Errorf("noise: %w", err)
@@ -408,25 +400,6 @@ func (m *Model) RunBudget(b *budget.B, active Mask) (*Analysis, error) {
 		Converged:  converged,
 	}
 	return an, nil
-}
-
-// activeCouplingsOf returns the active couplings incident on net v.
-// With a nil (all-active) mask this is the circuit's own adjacency
-// slice — shared, read-only, no allocation. Otherwise the filter
-// appends into scratch (grown as needed) and returns it; callers that
-// pass a reused scratch must consume the result before the next call.
-func (m *Model) activeCouplingsOf(v circuit.NetID, active Mask, scratch []circuit.CouplingID) []circuit.CouplingID {
-	all := m.C.CouplingsOf(v)
-	if active == nil {
-		return all
-	}
-	out := scratch[:0]
-	for _, id := range all {
-		if active.Active(id) {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // DelayUpperBound returns an upper bound on the delay noise of net v

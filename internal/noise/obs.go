@@ -14,7 +14,7 @@ import (
 //
 // Metric names:
 //
-//	noise.fixpoint.runs             fixpoint iterations started (Run/RunIncremental)
+//	noise.fixpoint.runs             fixpoint iterations started
 //	noise.fixpoint.converged        runs that settled within Tol
 //	noise.fixpoint.sweeps           dirty-victim sweeps executed
 //	noise.fixpoint.iterations       total iterations across runs
@@ -24,8 +24,6 @@ import (
 //	noise.fixpoint.env_memo_misses  ... and rebuilds
 //	noise.fixpoint.pulse_memo_hits  transcendental pulse-solve memo hits
 //	noise.fixpoint.pulse_memo_misses
-//	noise.fixpoint.raw_memo_hits    raw delay-noise memo hits
-//	noise.fixpoint.raw_memo_misses
 //	noise.fixpoint.grid_screen_hits whole evaluations skipped by the grid bound
 //	noise.fixpoint.grid_eval_skips  breakpoint evaluations skipped in crossing walks
 //	noise.fixpoint.stops            runs stopped early by budget/cancellation
@@ -36,7 +34,6 @@ type fixObs struct {
 	evals                  *obs.Counter
 	envHits, envMisses     *obs.Counter
 	pulseHits, pulseMiss   *obs.Counter
-	rawHits, rawMisses     *obs.Counter
 	gridScreens, gridSkips *obs.Counter
 	stops, panics          *obs.Counter
 	worklistDepth          *obs.Histogram
@@ -58,8 +55,6 @@ func newFixObs(r *obs.Registry) *fixObs {
 		envMisses:     r.Counter("noise.fixpoint.env_memo_misses"),
 		pulseHits:     r.Counter("noise.fixpoint.pulse_memo_hits"),
 		pulseMiss:     r.Counter("noise.fixpoint.pulse_memo_misses"),
-		rawHits:       r.Counter("noise.fixpoint.raw_memo_hits"),
-		rawMisses:     r.Counter("noise.fixpoint.raw_memo_misses"),
 		gridScreens:   r.Counter("noise.fixpoint.grid_screen_hits"),
 		gridSkips:     r.Counter("noise.fixpoint.grid_eval_skips"),
 		stops:         r.Counter("noise.fixpoint.stops"),
@@ -92,7 +87,6 @@ type evalCounts struct {
 	evals                  int64
 	envHits, envMisses     int64
 	pulseHits, pulseMiss   int64
-	rawHits, rawMisses     int64
 	gridScreens, gridSkips int64
 }
 
@@ -109,8 +103,6 @@ func (o *fixObs) flush(scratch []evalScratch, iters int, converged bool) {
 		t.envMisses += c.envMisses
 		t.pulseHits += c.pulseHits
 		t.pulseMiss += c.pulseMiss
-		t.rawHits += c.rawHits
-		t.rawMisses += c.rawMisses
 		t.gridScreens += c.gridScreens
 		t.gridSkips += c.gridSkips
 		*c = evalCounts{}
@@ -125,8 +117,6 @@ func (o *fixObs) flush(scratch []evalScratch, iters int, converged bool) {
 	o.envMisses.Add(t.envMisses)
 	o.pulseHits.Add(t.pulseHits)
 	o.pulseMiss.Add(t.pulseMiss)
-	o.rawHits.Add(t.rawHits)
-	o.rawMisses.Add(t.rawMisses)
 	o.gridScreens.Add(t.gridScreens)
 	o.gridSkips.Add(t.gridSkips)
 }

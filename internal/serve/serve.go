@@ -50,7 +50,8 @@ const (
 	Elimination
 	// WhatIf evaluates one explicit scenario: the circuit (or target
 	// net) delay after deactivating Query.Fix on top of the active
-	// mask, via incremental re-analysis of the cached fixpoint.
+	// mask, re-analyzed against the cached fixpoint (a cold fixpoint
+	// run unless the fix changes nothing).
 	WhatIf
 )
 
@@ -448,8 +449,9 @@ func (a *Analyzer) doB(b *budget.B, q Query) (resp Response) {
 	return resp
 }
 
-// whatIf evaluates the delay after deactivating q.Fix, incrementally
-// against the cached fixpoint.
+// whatIf evaluates the delay after deactivating q.Fix against the
+// cached fixpoint: the cached analysis itself when the fix changes
+// nothing, a cold fixpoint run of the fixed mask otherwise.
 func (a *Analyzer) whatIf(b *budget.B, q Query) (float64, string, error) {
 	full, err := a.fullAnalysis(b)
 	if err != nil {

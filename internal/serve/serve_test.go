@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"topkagg/internal/cell"
 	"topkagg/internal/circuit"
 	"topkagg/internal/core"
+	"topkagg/internal/gen"
 	"topkagg/internal/netlist"
 	"topkagg/internal/noise"
 )
@@ -110,7 +112,7 @@ func TestWhatIf(t *testing.T) {
 		t.Fatalf("empty what-if delay %g, want %g", r.Delay, full.CircuitDelay())
 	}
 
-	// Fixing everything = within fixpoint tolerance of noiseless.
+	// Fixing everything = the cold run with no coupling active.
 	all := []circuit.CouplingID{0, 1, 2}
 	r = a.Do(Query{Op: WhatIf, Net: WholeCircuit, Fix: all})
 	if r.Err != nil {
@@ -120,11 +122,55 @@ func TestWhatIf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := r.Delay - quiet.CircuitDelay(); d > 1e-6 || d < -1e-6 {
+	if r.Delay != quiet.CircuitDelay() {
 		t.Fatalf("full fix delay %g, reference %g", r.Delay, quiet.CircuitDelay())
 	}
 	if r.Delay >= full.CircuitDelay() {
 		t.Fatal("fixing all couplings must reduce the delay")
+	}
+}
+
+// TestWhatIfMatchesColdRun pins what-if answers to the cold fixpoint
+// bit for bit: for every single-coupling fix and a few multi-coupling
+// ones, on a dense and on a sparse circuit, the served delay (circuit
+// and per-net) is exactly what Run computes for the fixed mask.
+func TestWhatIfMatchesColdRun(t *testing.T) {
+	for _, spec := range []gen.Spec{
+		{Name: "dense", Gates: 30, Couplings: 60, Seed: 77},
+		{Name: "sparse", Gates: 50, Couplings: 25, Seed: 41},
+	} {
+		c, err := gen.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := noise.NewModel(c)
+		a := NewAnalyzer(m, core.Options{})
+		target := c.POs()[0]
+		var fixes [][]circuit.CouplingID
+		for id := 0; id < c.NumCouplings(); id++ {
+			fixes = append(fixes, []circuit.CouplingID{circuit.CouplingID(id)})
+		}
+		fixes = append(fixes, []circuit.CouplingID{0, 3, 7}, []circuit.CouplingID{1, 2, 4, 8, 16})
+		for _, fix := range fixes {
+			cold, err := m.Run(noise.WithoutMask(c, fix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := a.Do(Query{Op: WhatIf, Net: WholeCircuit, Fix: fix})
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			if math.Float64bits(r.Delay) != math.Float64bits(cold.CircuitDelay()) {
+				t.Fatalf("%s fix %v: what-if delay %v, cold run %v", spec.Name, fix, r.Delay, cold.CircuitDelay())
+			}
+			r = a.Do(Query{Op: WhatIf, Net: target, Fix: fix})
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			if want := cold.Timing.Window(target).LAT; math.Float64bits(r.Delay) != math.Float64bits(want) {
+				t.Fatalf("%s fix %v: what-if arrival at net %d %v, cold run %v", spec.Name, fix, target, r.Delay, want)
+			}
+		}
 	}
 }
 

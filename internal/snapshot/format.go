@@ -32,7 +32,7 @@ import (
 // deliberate format changes, never silent.
 const (
 	Magic   = "tksnap\x00\x01"
-	Version = 1
+	Version = 2
 )
 
 // Section size cap: no single section may claim more than 1 GiB. The

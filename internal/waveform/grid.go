@@ -207,16 +207,10 @@ func (g *Grid) CellOf(t float64) int {
 	return c
 }
 
-// Edge returns the left edge time of cell c (Edge(Cells) is the
-// right edge of the last cell).
-func (g *Grid) Edge(c int) float64 { return g.Lo + float64(c)*g.step }
-
-// PadLeft returns the one-step-padded left edge of cell c — the
-// conservative lower end of the times CellOf may assign to c.
-func (g *Grid) PadLeft(c int) float64 { return g.Lo + float64(c-1)*g.step }
-
 // PadRight returns the one-step-padded right edge of cell c — the
-// conservative upper end of the times CellOf may assign to c.
+// conservative upper end of the times CellOf may assign to c. Its
+// mirror, the padded left edge Lo+(c−1)·step, is written PadLeft(c)
+// in the comments here and in the noise kernel.
 func (g *Grid) PadRight(c int) float64 { return g.Lo + float64(c+2)*g.step }
 
 // gridPadFrac scales the additive per-trap slack folded into each

@@ -126,11 +126,6 @@ func (w PWL) Points() []Point {
 	return out
 }
 
-// AppendTo appends the waveform's breakpoints to buf and returns the
-// extended slice — the allocation-free export used together with View
-// by hot paths that cache waveforms in caller-owned storage.
-func (w PWL) AppendTo(buf []Point) []Point { return append(buf, w.pts...) }
-
 // NumPoints returns the number of breakpoints.
 func (w PWL) NumPoints() int { return len(w.pts) }
 
